@@ -10,6 +10,7 @@ import (
 	"log"
 	"time"
 
+	"polardb/internal/stat"
 	"polardb/pkg/polar"
 )
 
@@ -72,22 +73,22 @@ func main() {
 	}
 	dirty.Close()
 
-	// Read the working set again: the shared remote memory pool survived
-	// the crash, so pages come from remote memory, not storage.
+	// Read the working set again with every node's local tier cold: the
+	// shared remote memory pool survived the crash, so pages come from
+	// remote memory, not storage. The promoted RW keeps its registry from
+	// its RO days, so count only this loop's reads.
 	c := db.Cluster()
-	c.RW.Engine.Cache().EvictAll() // start the new RW's local tier cold
+	c.RW.Engine.Cache().EvictAll()
+	for _, ro := range c.ROs {
+		ro.Engine.Cache().EvictAll()
+	}
+	before := stat.Total(db.Metrics().Snapshot())
 	for k := uint64(0); k < 200; k++ {
 		if _, _, err := s.Get("kv", k); err != nil {
 			log.Fatal(err)
 		}
 	}
-	var remote, storage uint64
-	remote += c.RW.Engine.Stats().RemoteReads.Load()
-	storage += c.RW.Engine.Stats().StorageReads.Load()
-	for _, ro := range c.ROs {
-		remote += ro.Engine.Stats().RemoteReads.Load()
-		storage += ro.Engine.Stats().StorageReads.Load()
-	}
+	d := stat.Total(db.Metrics().Snapshot()).Sub(before)
 	fmt.Printf("warm restart: %d page reads served by the surviving remote memory pool, %d by storage\n",
-		remote, storage)
+		d.Counter("engine.page.remote_read"), d.Counter("engine.page.storage_read"))
 }

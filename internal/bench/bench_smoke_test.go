@@ -2,6 +2,7 @@ package bench
 
 import (
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -56,8 +57,22 @@ func TestFig10aSmoke(t *testing.T) {
 	}
 }
 func TestFig10bSmoke(t *testing.T) { runFig(t, Fig10b, 3) }
-func TestFig11Smoke(t *testing.T)  { skipHeavyUnderRace(t); runFig(t, Fig11, 6) }
-func TestFig12Smoke(t *testing.T)  { runFig(t, Fig12, 3) }
-func TestFig13Smoke(t *testing.T)  { skipHeavyUnderRace(t); runFig(t, Fig13, 3) }
-func TestFig14Smoke(t *testing.T)  { skipHeavyUnderRace(t); runFig(t, Fig14, 4) }
-func TestFig15Smoke(t *testing.T)  { runFig(t, Fig15, 4) }
+func TestFig11Smoke(t *testing.T) {
+	skipHeavyUnderRace(t)
+	r := runFig(t, Fig11, 6)
+	// Shape assertion: swapping falls as local memory grows toward the
+	// working set.
+	for _, s := range r.Series {
+		if !strings.HasSuffix(s.Name, "pages swapped") {
+			continue
+		}
+		small, large := s.Points[0], s.Points[len(s.Points)-1]
+		if large.Y >= small.Y {
+			t.Errorf("%s: %0.0f at %s, not below %0.0f at %s", s.Name, large.Y, large.Label, small.Y, small.Label)
+		}
+	}
+}
+func TestFig12Smoke(t *testing.T) { runFig(t, Fig12, 3) }
+func TestFig13Smoke(t *testing.T) { skipHeavyUnderRace(t); runFig(t, Fig13, 3) }
+func TestFig14Smoke(t *testing.T) { skipHeavyUnderRace(t); runFig(t, Fig14, 4) }
+func TestFig15Smoke(t *testing.T) { runFig(t, Fig15, 4) }

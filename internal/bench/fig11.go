@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"polardb/internal/cluster"
+	"polardb/internal/stat"
 	"polardb/internal/workload"
 )
 
@@ -80,7 +81,7 @@ func fig11Sysbench(res *Result, prefix string, rows uint64, dist workload.Distri
 	if err := sb.Load(c); err != nil {
 		return 0, 0, err
 	}
-	c.RW.Engine.Cache().ResetStats()
+	before := c.RW.EP.Metrics().Snapshot()
 	qps, err := runQPS(c, 4, dur, func(s *cluster.Session, rng *rand.Rand) error {
 		_, err := sb.ReadWriteTxn(s, rng)
 		if ignorable(err) {
@@ -88,9 +89,9 @@ func fig11Sysbench(res *Result, prefix string, rows uint64, dist workload.Distri
 		}
 		return err
 	})
-	st := c.RW.Engine.Cache().Stats()
+	swapped := pagesSwapped(c, before)
 	res.Capture(prefix, c)
-	return qps, st.SwappedIn + st.SwappedOut, err
+	return qps, swapped, err
 }
 
 func fig11TPCC(res *Result, prefix string, lmPages int, dur time.Duration, sc Scale) (float64, uint64, error) {
@@ -106,7 +107,7 @@ func fig11TPCC(res *Result, prefix string, lmPages int, dur time.Duration, sc Sc
 	if err := tp.Load(c); err != nil {
 		return 0, 0, err
 	}
-	c.RW.Engine.Cache().ResetStats()
+	before := c.RW.EP.Metrics().Snapshot()
 	tpm, err := runQPS(c, 4, dur, func(s *cluster.Session, rng *rand.Rand) error {
 		_, err := tp.Mix(s, rng)
 		if ignorable(err) {
@@ -114,7 +115,15 @@ func fig11TPCC(res *Result, prefix string, lmPages int, dur time.Duration, sc Sc
 		}
 		return err
 	})
-	st := c.RW.Engine.Cache().Stats()
+	swapped := pagesSwapped(c, before)
 	res.Capture(prefix, c)
-	return tpm * 60, st.SwappedIn + st.SwappedOut, err
+	return tpm * 60, swapped, err
+}
+
+// pagesSwapped is the RW node's traffic between local and lower tiers
+// since before: pages filled from remote memory or storage plus frames
+// evicted from the local cache.
+func pagesSwapped(c *cluster.Cluster, before stat.Snapshot) uint64 {
+	d := c.RW.EP.Metrics().Snapshot().Sub(before)
+	return d.Counter("engine.page.remote_read") + d.Counter("engine.page.storage_read") + d.Counter("engine.page.evict")
 }

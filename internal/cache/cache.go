@@ -5,9 +5,9 @@
 // back to remote memory first.
 //
 // The cache provides mechanics only — frames, pins, local latches, LRU,
-// invalidation bits, swap statistics. Policy (where misses are fetched
-// from, what write-back means) lives in the engine so the same cache backs
-// both PolarDB Serverless nodes and the baseline architectures.
+// invalidation bits. Policy (where misses are fetched from, what
+// write-back means) lives in the engine so the same cache backs both
+// PolarDB Serverless nodes and the baseline architectures.
 package cache
 
 import (
@@ -104,17 +104,6 @@ func (f *Frame) Invalid() bool { return f.invalid.Load() }
 // unpinned and no longer reachable through the cache.
 type EvictFn func(*Frame)
 
-// Stats counts cache traffic. SwappedIn/SwappedOut reproduce the "pages
-// swapped" series of Figure 11.
-type Stats struct {
-	Hits       uint64
-	Misses     uint64
-	SwappedOut uint64 // evictions
-	SwappedIn  uint64 // inserts (fetch fills)
-	Resident   int
-	Capacity   int
-}
-
 // Cache is a fixed-capacity page frame pool with LRU replacement.
 //
 // Eviction interlock: from the moment a victim is detached until its
@@ -129,8 +118,6 @@ type Cache struct {
 	lru      *list.List // *Frame; front = oldest
 	evict    EvictFn
 	evicting map[uint64]chan struct{}
-
-	hits, misses, in, out atomic.Uint64
 }
 
 // New creates a cache holding up to capacity pages. evict may be nil.
@@ -160,13 +147,11 @@ func (c *Cache) Get(id types.PageID) *Frame {
 	f, ok := c.frames[id.Key()]
 	if !ok {
 		c.mu.Unlock()
-		c.misses.Add(1)
 		return nil
 	}
 	f.Pin()
 	c.lru.MoveToBack(f.lruElem)
 	c.mu.Unlock()
-	c.hits.Add(1)
 	return f
 }
 
@@ -199,7 +184,6 @@ func (c *Cache) Insert(f *Frame) (*Frame, error) {
 	f.lruElem = c.lru.PushBack(f)
 	c.frames[f.ID.Key()] = f
 	c.mu.Unlock()
-	c.in.Add(1)
 	for _, v := range victims {
 		c.runEvict(v)
 	}
@@ -224,7 +208,6 @@ func (c *Cache) pickVictimLocked() *Frame {
 }
 
 func (c *Cache) runEvict(f *Frame) {
-	c.out.Add(1)
 	if c.evict != nil {
 		c.evict(f)
 	}
@@ -333,27 +316,4 @@ func (c *Cache) ForEach(fn func(*Frame)) {
 	for _, f := range snapshot {
 		fn(f)
 	}
-}
-
-// Stats returns traffic counters and occupancy.
-func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	resident, capacity := len(c.frames), c.capacity
-	c.mu.Unlock()
-	return Stats{
-		Hits:       c.hits.Load(),
-		Misses:     c.misses.Load(),
-		SwappedIn:  c.in.Load(),
-		SwappedOut: c.out.Load(),
-		Resident:   resident,
-		Capacity:   capacity,
-	}
-}
-
-// ResetStats zeroes the traffic counters.
-func (c *Cache) ResetStats() {
-	c.hits.Store(0)
-	c.misses.Store(0)
-	c.in.Store(0)
-	c.out.Store(0)
 }

@@ -286,7 +286,7 @@ func TestResizeLocalCacheLive(t *testing.T) {
 	if err := h.rw.ResizeLocalCache(16); err != nil {
 		t.Fatal(err)
 	}
-	if got := h.rw.Cache().Stats().Capacity; got != 16 {
+	if got := h.rw.Cache().Capacity(); got != 16 {
 		t.Fatalf("capacity = %d", got)
 	}
 	for k := uint64(0); k < 300; k += 13 {

@@ -183,8 +183,7 @@ type Engine struct {
 	closeCh chan struct{}
 	wg      sync.WaitGroup
 
-	stats EngineStats
-	met   engineMetrics
+	met engineMetrics
 }
 
 // engineMetrics are the node registry's view of engine events: the
@@ -194,6 +193,7 @@ type engineMetrics struct {
 	localHit    *stat.Counter // Fetch served from the local cache tier
 	remoteRead  *stat.Counter // pages read from the remote memory tier
 	storageRead *stat.Counter // pages read from PolarFS
+	evict       *stat.Counter // frames evicted from the local cache tier
 	mtrCommit   *stat.Counter // non-empty mini-transactions committed
 	txnCommit   *stat.Counter // user transactions committed
 	txnAbort    *stat.Counter // user transactions rolled back
@@ -209,6 +209,7 @@ func newEngineMetrics(r *stat.Registry) engineMetrics {
 		localHit:    r.Counter("engine.page.local_hit"),
 		remoteRead:  r.Counter("engine.page.remote_read"),
 		storageRead: r.Counter("engine.page.storage_read"),
+		evict:       r.Counter("engine.page.evict"),
 		mtrCommit:   r.Counter("engine.mtr.commit"),
 		txnCommit:   r.Counter("engine.txn.commit"),
 		txnAbort:    r.Counter("engine.txn.abort"),
@@ -218,15 +219,6 @@ func newEngineMetrics(r *stat.Registry) engineMetrics {
 		flushBatch:  r.Counter("engine.redo.flush.batches"),
 		flushRecs:   r.Counter("engine.redo.flush.records"),
 	}
-}
-
-// EngineStats counts engine-level events for the benchmark harness.
-type EngineStats struct {
-	Commits       atomic.Uint64
-	Aborts        atomic.Uint64
-	RemoteReads   atomic.Uint64 // pages fetched from remote memory
-	StorageReads  atomic.Uint64 // pages fetched from PolarFS
-	FlushRequests atomic.Uint64 // RO-triggered write-backs served
 }
 
 // NewRW creates the engine for the read-write node. Call Bootstrap (fresh
@@ -323,14 +315,11 @@ func (e *Engine) Close() {
 // EP returns the node's fabric endpoint.
 func (e *Engine) EP() *rdma.Endpoint { return e.ep }
 
-// Cache returns the local cache (for stats).
+// Cache returns the local cache.
 func (e *Engine) Cache() *cache.Cache { return e.cache }
 
 // Pool returns the remote memory client, or nil.
 func (e *Engine) Pool() *rmem.Pool { return e.pool }
-
-// Stats returns engine counters.
-func (e *Engine) Stats() *EngineStats { return &e.stats }
 
 // CTSRegionID returns the RW node's CTS region id (cluster wiring).
 func (e *Engine) CTSRegionID() uint32 {
@@ -448,7 +437,6 @@ func (e *Engine) loadFrame(id types.PageID) (*cache.Frame, error) {
 		}
 	}
 	if fromRemote {
-		e.stats.RemoteReads.Add(1)
 		e.met.remoteRead.Inc()
 		f.NewestLSN = types.LSN(binary.LittleEndian.Uint64(f.Data[0:8]))
 		f.ShippedLSN = f.NewestLSN
@@ -460,7 +448,6 @@ func (e *Engine) loadFrame(id types.PageID) (*cache.Frame, error) {
 			}
 			return nil, err
 		}
-		e.stats.StorageReads.Add(1)
 		e.met.storageRead.Inc()
 		if exists {
 			copy(f.Data, data)
@@ -549,7 +536,6 @@ func (e *Engine) refreshFrame(f *cache.Frame) error {
 	}
 	if f.Remote.Registered {
 		if err := e.readRemoteFresh(f); err == nil {
-			e.stats.RemoteReads.Add(1)
 			e.met.remoteRead.Inc()
 			f.NewestLSN = types.LSN(binary.LittleEndian.Uint64(f.Data[0:8]))
 			f.ShippedLSN = f.NewestLSN
@@ -563,7 +549,6 @@ func (e *Engine) refreshFrame(f *cache.Frame) error {
 	if err != nil {
 		return err
 	}
-	e.stats.StorageReads.Add(1)
 	e.met.storageRead.Inc()
 	if exists {
 		copy(f.Data, data)
@@ -583,6 +568,7 @@ func (e *Engine) refreshFrame(f *cache.Frame) error {
 // only leave the cache once its redo is acknowledged by the page chunks
 // (Figure 7 step 6); dirty frames are written back to remote memory first.
 func (e *Engine) onEvict(f *cache.Frame) {
+	e.met.evict.Inc()
 	if !e.cfg.ReadOnly && f.NewestLSN > f.ShippedLSN {
 		e.waitShipped(f.NewestLSN)
 		f.ShippedLSN = f.NewestLSN

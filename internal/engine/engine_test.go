@@ -401,7 +401,7 @@ func TestROBothLockModes(t *testing.T) {
 			close(stop)
 			wg.Wait()
 			if mode == btree.PessimisticS {
-				if st := ro.Pool().PL().Stats(); st.FastPath+st.SlowPath == 0 {
+				if counter(ro, "rmem.pl.fast")+counter(ro, "rmem.pl.slow") == 0 {
 					t.Fatal("pessimistic RO took no global latches")
 				}
 			}
@@ -436,11 +436,10 @@ func TestCacheEvictionPressure(t *testing.T) {
 			t.Fatalf("readback %d: %v", k, ok)
 		}
 	}
-	cs := h.rw.Cache().Stats()
-	if cs.SwappedOut == 0 {
+	if counter(h.rw, "engine.page.evict") == 0 {
 		t.Fatal("no eviction under pressure")
 	}
-	if h.rw.Stats().RemoteReads.Load() == 0 {
+	if counter(h.rw, "engine.page.remote_read") == 0 {
 		t.Fatal("no remote memory reads under pressure")
 	}
 }
@@ -457,7 +456,7 @@ func TestNoPoolBaseline(t *testing.T) {
 			t.Fatalf("baseline read %d: %q %v", k, got, ok)
 		}
 	}
-	if h.rw.Stats().StorageReads.Load() == 0 {
+	if counter(h.rw, "engine.page.storage_read") == 0 {
 		t.Fatal("baseline never read storage")
 	}
 }
@@ -466,23 +465,32 @@ func TestBackfillFillsCTS(t *testing.T) {
 	h := newHarness(t, harnessOpts{})
 	tbl, _ := h.rw.CreateTable("t")
 	mustCommitPut(t, h.rw, tbl, 7, "x")
+	waitBackfilled(t, tbl, []uint64{7})
+}
+
+// waitBackfilled waits until the asynchronous cts_commit backfill has
+// reached every key's record.
+func waitBackfilled(t *testing.T, tbl *Table, keys []uint64) {
+	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
-	for {
-		raw, err := tbl.Primary.Get(7, btree.Local)
-		if err != nil {
-			t.Fatal(err)
+	for _, k := range keys {
+		for {
+			raw, err := tbl.Primary.Get(k, btree.Local)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, err := txn.UnmarshalRecord(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.CTS != 0 {
+				break // backfilled
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("cts of key %d never backfilled", k)
+			}
+			time.Sleep(2 * time.Millisecond)
 		}
-		rec, err := txn.UnmarshalRecord(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec.CTS != 0 {
-			break // backfilled
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("cts never backfilled")
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
 }
 
@@ -502,25 +510,25 @@ func TestPrefetchWarmsLocalCache(t *testing.T) {
 		}
 	}
 	_ = tx.Commit()
+	// The backfill's page fetches must not land in the measured windows.
+	waitBackfilled(t, tbl, keys)
 	// Evict everything local, then prefetch and measure.
 	h.rw.Cache().EvictAll()
-	h.rw.Cache().ResetStats()
+	before := pageReads(h.rw)
 	h.rw.Prefetch(tbl.Primary, keys[:100]).Wait()
-	missesAfterPrefetch := h.rw.Cache().Stats().Misses
-	if missesAfterPrefetch == 0 {
+	if pageReads(h.rw) == before {
 		t.Fatal("prefetch fetched nothing")
 	}
 	// The prefetched keys now hit the local cache.
-	before := h.rw.Cache().Stats()
+	before = pageReads(h.rw)
 	ro, _ := h.rw.BeginRO()
 	for _, k := range keys[:100] {
 		if _, ok, err := ro.Get(tbl, k); !ok || err != nil {
 			t.Fatalf("get %d: %v %v", k, ok, err)
 		}
 	}
-	after := h.rw.Cache().Stats()
-	if after.Misses != before.Misses {
-		t.Fatalf("reads after prefetch missed %d times", after.Misses-before.Misses)
+	if n := pageReads(h.rw) - before; n != 0 {
+		t.Fatalf("reads after prefetch fetched %d pages", n)
 	}
 }
 
@@ -670,6 +678,17 @@ func TestUnplannedRWFailover(t *testing.T) {
 	}
 }
 
+// counter reads one of the engine node's registry counters.
+func counter(e *Engine, name string) uint64 {
+	return e.EP().Metrics().Counter(name).Load()
+}
+
+// pageReads counts the pages the engine filled from remote memory or
+// storage: its local-cache misses that went to a lower tier.
+func pageReads(e *Engine) uint64 {
+	return counter(e, "engine.page.remote_read") + counter(e, "engine.page.storage_read")
+}
+
 func mustOpen(t *testing.T, e *Engine, name string) *Table {
 	t.Helper()
 	tbl, err := e.OpenTable(name)
@@ -696,16 +715,16 @@ func TestFailoverKeepsRemoteMemoryWarm(t *testing.T) {
 	if err := newRW.Recover("rw", false); err != nil {
 		t.Fatal(err)
 	}
-	newRW.Stats().RemoteReads.Store(0)
-	newRW.Stats().StorageReads.Store(0)
+	before := newRW.EP().Metrics().Snapshot()
 	tbl2 := mustOpen(t, newRW, "t")
 	for k := uint64(0); k < 300; k += 3 {
 		if _, ok := roGet(t, newRW, tbl2, k); !ok {
 			t.Fatalf("key %d missing after failover", k)
 		}
 	}
-	remote := newRW.Stats().RemoteReads.Load()
-	storage := newRW.Stats().StorageReads.Load()
+	d := newRW.EP().Metrics().Snapshot().Sub(before)
+	remote := d.Counter("engine.page.remote_read")
+	storage := d.Counter("engine.page.storage_read")
 	if remote == 0 {
 		t.Fatal("remote memory cold after failover (no remote reads)")
 	}

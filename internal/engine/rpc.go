@@ -10,8 +10,9 @@ import (
 
 // handleFlushPage serves an RO node's request to write a page this RW
 // holds dirty back to remote memory (so the RO can read a fresh copy).
-// Replies 1 if the page was written back, 0 if this node has no local
-// copy (storage is then authoritative).
+// Replies 1 if the page was written back, 0 if storage is authoritative:
+// this node has no local copy, or its copy could not be written back and
+// its redo has been shipped to the page chunks.
 func (e *Engine) handleFlushPage(from rdma.NodeID, req []byte) ([]byte, error) {
 	if len(req) < 8 {
 		return nil, txn.ErrBadRecord
@@ -28,11 +29,6 @@ func (e *Engine) handleFlushPage(from rdma.NodeID, req []byte) ([]byte, error) {
 		return []byte{0}, nil
 	}
 	defer f.Unpin()
-	if !f.Remote.Registered {
-		return []byte{0}, nil
-	}
-	e.stats.FlushRequests.Add(1)
-	e.met.flushServed.Inc()
 	// A frame modified by a still-open mini-transaction must not be
 	// shipped: its bytes may reference the MTR's other pages (e.g. a data
 	// row pointing at a new undo record) whose remote copies are not yet
@@ -53,10 +49,19 @@ func (e *Engine) handleFlushPage(from rdma.NodeID, req []byte) ([]byte, error) {
 		}
 		e.mtrMu.Unlock()
 	}
-	err := e.pool.WritePage(f.Remote.Data, f.Data, f.Remote.PIB)
+	written := false
+	if f.Remote.Registered {
+		e.met.flushServed.Inc()
+		written = e.pool.WritePage(f.Remote.Data, f.Data, f.Remote.PIB) == nil
+	}
+	newest := f.NewestLSN
 	f.Latch.RUnlock()
-	if err != nil {
-		return nil, err
+	if !written {
+		// No remote copy to publish (a storage-direct page, or remote
+		// memory unreachable): the reader falls back to storage, so make
+		// storage current for this page first.
+		e.waitShipped(newest)
+		return []byte{0}, nil
 	}
 	f.ClearDirty()
 	return []byte{1}, nil

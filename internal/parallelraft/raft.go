@@ -362,8 +362,9 @@ func (r *Replica) MaxIndex() uint64 {
 func (r *Replica) majority() int { return len(r.cfg.Peers)/2 + 1 }
 
 // Propose replicates cmd with the given write ranges. It blocks until the
-// entry is committed (majority-durable) or the replica loses leadership.
-// Returns the entry's index.
+// entry is committed (majority-durable) and applied to this replica's
+// state machine, so a read the leader serves afterwards sees it, or until
+// the replica loses leadership. Returns the entry's index.
 func (r *Replica) Propose(cmd []byte, ranges []Range) (uint64, error) {
 	if len(ranges) == 0 {
 		ranges = FullRange
@@ -441,12 +442,21 @@ func (r *Replica) lookBehindLocked(idx uint64) [][]Range {
 // is an independent message; no ordering between broadcasts).
 func (r *Replica) broadcastEntry(e *Entry, term uint64) {
 	req := r.buildAppendReq(e, term)
+	// Callers run outside the replica's goroutines, so register the
+	// senders under mu: Close sets closed under mu before it waits, and
+	// a WaitGroup must not grow from zero once Wait may have begun.
+	r.mu.Lock()
+	if r.closed {
+		r.mu.Unlock()
+		return
+	}
+	r.wg.Add(len(r.cfg.Peers) - 1)
+	r.mu.Unlock()
 	for _, p := range r.cfg.Peers {
 		if p == r.ep.ID() {
 			continue
 		}
 		peer := p
-		r.wg.Add(1)
 		go func() {
 			defer r.wg.Done()
 			resp, err := r.ep.Call(peer, r.method("append"), req)
@@ -632,10 +642,6 @@ func (r *Replica) tryCommitLocked() {
 			continue // wait for conflicting predecessors to commit first
 		}
 		r.committed[idx] = true
-		for _, w := range r.waiters[idx] {
-			w.ch <- nil
-		}
-		delete(r.waiters, idx)
 		delete(r.acks, idx)
 	}
 	r.rollCommitPrefixLocked()
@@ -714,6 +720,10 @@ func (r *Replica) checkApply() {
 			r.sm.Apply(toApply.Index, toApply.Cmd)
 		}
 		r.mu.Lock()
+		for _, w := range r.waiters[toApply.Index] {
+			w.ch <- nil
+		}
+		delete(r.waiters, toApply.Index)
 		for r.applied[r.applyPrefix+1] {
 			delete(r.applied, r.applyPrefix+1)
 			r.applyPrefix++

@@ -212,30 +212,57 @@ func TestCallTimeout(t *testing.T) {
 	}
 }
 
-func TestStats(t *testing.T) {
+// TestVerbMetrics checks the issuing node's registry: ops and bytes per
+// verb for successes, and one err per failed verb (a fault in the verb,
+// a handler error, a CallTimeout deadline).
+func TestVerbMetrics(t *testing.T) {
 	f := newTestFabric(t)
 	mem := f.MustAttach("mem")
 	db := f.MustAttach("db")
 	r := mem.RegisterRegion(1024)
 	addr := Addr{Node: "mem", Region: r.ID(), Off: 0}
+	reg := f.Metrics().Node("db")
 
-	before := f.Stats()
+	before := reg.Snapshot()
 	_ = db.Write(addr, make([]byte, 100))
 	_ = db.Read(addr, make([]byte, 50))
 	_, _, _ = db.CAS64(addr, 0, 1)
-	d := f.Stats().Sub(before)
-	if d.Writes != 1 || d.WriteBytes != 100 {
-		t.Fatalf("writes = %d/%d, want 1/100", d.Writes, d.WriteBytes)
+	d := reg.Snapshot().Sub(before)
+	if d.Counter("rdma.write.ops") != 1 || d.Counter("rdma.write.bytes") != 100 {
+		t.Fatalf("writes = %d/%d, want 1/100", d.Counter("rdma.write.ops"), d.Counter("rdma.write.bytes"))
 	}
-	if d.Reads != 1 || d.ReadBytes != 50 {
-		t.Fatalf("reads = %d/%d, want 1/50", d.Reads, d.ReadBytes)
+	if d.Counter("rdma.read.ops") != 1 || d.Counter("rdma.read.bytes") != 50 {
+		t.Fatalf("reads = %d/%d, want 1/50", d.Counter("rdma.read.ops"), d.Counter("rdma.read.bytes"))
 	}
-	if d.Atomics != 1 {
-		t.Fatalf("atomics = %d, want 1", d.Atomics)
+	if d.Counter("rdma.atomic.ops") != 1 {
+		t.Fatalf("atomics = %d, want 1", d.Counter("rdma.atomic.ops"))
 	}
-	f.ResetStats()
-	if s := f.Stats(); s.Reads != 0 || s.Writes != 0 {
-		t.Fatalf("stats not reset: %+v", s)
+
+	mem.RegisterHandler("fail", func(NodeID, []byte) ([]byte, error) {
+		return nil, errors.New("handler failed")
+	})
+	block := make(chan struct{})
+	mem.RegisterHandler("hang", func(NodeID, []byte) ([]byte, error) {
+		<-block
+		return nil, nil
+	})
+	t.Cleanup(func() { close(block) })
+	before = reg.Snapshot()
+	if err := db.Read(Addr{Node: "mem", Region: r.ID(), Off: 1000}, make([]byte, 100)); !errors.Is(err, ErrOutOfBounds) {
+		t.Fatalf("out-of-bounds read err = %v", err)
+	}
+	if _, err := db.Call("mem", "fail", nil); err == nil {
+		t.Fatal("handler error not returned")
+	}
+	if _, err := db.CallTimeout("mem", "hang", nil, 10*time.Millisecond); !errors.Is(err, ErrUnreachable) {
+		t.Fatalf("timed-out call err = %v", err)
+	}
+	d = reg.Snapshot().Sub(before)
+	if d.Counter("rdma.read.err") != 1 || d.Counter("rdma.rpc.err") != 2 {
+		t.Fatalf("errs read/rpc = %d/%d, want 1/2", d.Counter("rdma.read.err"), d.Counter("rdma.rpc.err"))
+	}
+	if d.Counter("rdma.read.ops") != 0 || d.Counter("rdma.rpc.ops") != 0 {
+		t.Fatalf("failed verbs counted as ops: read %d rpc %d", d.Counter("rdma.read.ops"), d.Counter("rdma.rpc.ops"))
 	}
 }
 

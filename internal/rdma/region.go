@@ -242,12 +242,12 @@ func (e *Endpoint) remoteRegion(a Addr) (*Region, error) {
 func (e *Endpoint) Read(a Addr, dst []byte) error {
 	r, err := e.remoteRegion(a)
 	if err != nil {
-		return err
+		return e.fail(opRead, err)
 	}
 	start := time.Now()
 	e.fabric.delay(e.fabric.cfg.OneSidedRead, len(dst))
 	if err := r.ReadLocal(a.Off, dst); err != nil {
-		return err
+		return e.fail(opRead, err)
 	}
 	e.record(opRead, len(dst), start)
 	return nil
@@ -257,12 +257,12 @@ func (e *Endpoint) Read(a Addr, dst []byte) error {
 func (e *Endpoint) Write(a Addr, src []byte) error {
 	r, err := e.remoteRegion(a)
 	if err != nil {
-		return err
+		return e.fail(opWrite, err)
 	}
 	start := time.Now()
 	e.fabric.delay(e.fabric.cfg.OneSidedWrite, len(src))
 	if err := r.WriteLocal(a.Off, src); err != nil {
-		return err
+		return e.fail(opWrite, err)
 	}
 	e.record(opWrite, len(src), start)
 	return nil
@@ -274,13 +274,13 @@ func (e *Endpoint) Write(a Addr, src []byte) error {
 func (e *Endpoint) CAS64(a Addr, old, new uint64) (uint64, bool, error) {
 	r, err := e.remoteRegion(a)
 	if err != nil {
-		return 0, false, err
+		return 0, false, e.fail(opAtomic, err)
 	}
 	start := time.Now()
 	e.fabric.delay(e.fabric.cfg.Atomic, 8)
 	prev, ok, err := r.CAS64Local(a.Off, old, new)
 	if err != nil {
-		return 0, false, err
+		return 0, false, e.fail(opAtomic, err)
 	}
 	e.record(opAtomic, 8, start)
 	return prev, ok, nil
@@ -291,22 +291,14 @@ func (e *Endpoint) CAS64(a Addr, old, new uint64) (uint64, bool, error) {
 func (e *Endpoint) FetchAdd64(a Addr, delta uint64) (uint64, error) {
 	r, err := e.remoteRegion(a)
 	if err != nil {
-		return 0, err
+		return 0, e.fail(opAtomic, err)
 	}
 	start := time.Now()
 	e.fabric.delay(e.fabric.cfg.Atomic, 8)
-	r.mu.Lock()
-	if a.Off%8 != 0 {
-		r.mu.Unlock()
-		return 0, ErrMisaligned
+	prev, err := r.FetchAdd64Local(a.Off, delta)
+	if err != nil {
+		return 0, e.fail(opAtomic, err)
 	}
-	if int(a.Off)+8 > len(r.buf) {
-		r.mu.Unlock()
-		return 0, ErrOutOfBounds
-	}
-	prev := binary.LittleEndian.Uint64(r.buf[a.Off:])
-	binary.LittleEndian.PutUint64(r.buf[a.Off:], prev+delta)
-	r.mu.Unlock()
 	e.record(opAtomic, 8, start)
 	return prev, nil
 }
@@ -315,13 +307,13 @@ func (e *Endpoint) FetchAdd64(a Addr, delta uint64) (uint64, error) {
 func (e *Endpoint) Load64(a Addr) (uint64, error) {
 	r, err := e.remoteRegion(a)
 	if err != nil {
-		return 0, err
+		return 0, e.fail(opRead, err)
 	}
 	start := time.Now()
 	e.fabric.delay(e.fabric.cfg.OneSidedRead, 8)
 	v, err := r.Load64Local(a.Off)
 	if err != nil {
-		return 0, err
+		return 0, e.fail(opRead, err)
 	}
 	e.record(opRead, 8, start)
 	return v, nil

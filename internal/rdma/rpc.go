@@ -29,28 +29,28 @@ func (e *Endpoint) DeregisterHandler(method string) {
 // response bytes both pay the per-KB bandwidth cost.
 func (e *Endpoint) Call(target NodeID, method string, req []byte) ([]byte, error) {
 	if e.isDown() {
-		return nil, fmt.Errorf("%w: %s (local endpoint down)", ErrUnreachable, e.id)
+		return nil, e.fail(opRPC, fmt.Errorf("%w: %s (local endpoint down)", ErrUnreachable, e.id))
 	}
 	callee, err := e.fabric.lookup(target)
 	if err != nil {
-		return nil, err
+		return nil, e.fail(opRPC, err)
 	}
 	callee.mu.RLock()
 	h, ok := callee.handlers[method]
 	callee.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("%w: %s on %s", ErrNoSuchHandler, method, target)
+		return nil, e.fail(opRPC, fmt.Errorf("%w: %s on %s", ErrNoSuchHandler, method, target))
 	}
 	start := time.Now()
 	e.fabric.delay(e.fabric.cfg.RPC/2, len(req))
 	resp, err := h(e.id, req)
 	if err != nil {
-		return nil, err
+		return nil, e.fail(opRPC, err)
 	}
 	// The callee may have been killed while the handler ran; the reply is
 	// then lost from the caller's perspective.
 	if callee.isDown() {
-		return nil, fmt.Errorf("%w: %s", ErrUnreachable, target)
+		return nil, e.fail(opRPC, fmt.Errorf("%w: %s", ErrUnreachable, target))
 	}
 	e.fabric.delay(e.fabric.cfg.RPC/2, len(resp))
 	e.record(opRPC, len(req)+len(resp), start)
@@ -59,7 +59,8 @@ func (e *Endpoint) Call(target NodeID, method string, req []byte) ([]byte, error
 
 // CallTimeout is Call with a deadline. A handler that blocks past the
 // deadline yields ErrUnreachable, modelling a hung peer; the handler's
-// goroutine is abandoned (its late reply is dropped).
+// goroutine is abandoned (its late reply is dropped). The timeout counts
+// one rdma.rpc.err; the abandoned Call is still counted when it returns.
 func (e *Endpoint) CallTimeout(target NodeID, method string, req []byte, timeout time.Duration) ([]byte, error) {
 	type result struct {
 		resp []byte
@@ -74,6 +75,6 @@ func (e *Endpoint) CallTimeout(target NodeID, method string, req []byte, timeout
 	case r := <-ch:
 		return r.resp, r.err
 	case <-time.After(timeout):
-		return nil, fmt.Errorf("%w: %s (rpc %s timed out)", ErrUnreachable, target, method)
+		return nil, e.fail(opRPC, fmt.Errorf("%w: %s (rpc %s timed out)", ErrUnreachable, target, method))
 	}
 }

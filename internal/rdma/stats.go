@@ -1,7 +1,6 @@
 package rdma
 
 import (
-	"sync/atomic"
 	"time"
 
 	"polardb/internal/stat"
@@ -28,11 +27,13 @@ var verbNames = [numOpClasses]string{
 
 // verbMetrics are one endpoint's per-verb issue counters: ops, bytes
 // moved, and end-to-end verb latency (injected fabric delay plus data
-// copy). Handles are resolved once at attach time.
+// copy) of successful verbs, and the count of failed ones. Handles are
+// resolved once at attach time.
 type verbMetrics struct {
 	ops   [numOpClasses]*stat.Counter
 	bytes [numOpClasses]*stat.Counter
 	lat   [numOpClasses]*stat.Histogram
+	err   [numOpClasses]*stat.Counter
 }
 
 func newVerbMetrics(r *stat.Registry) *verbMetrics {
@@ -41,69 +42,20 @@ func newVerbMetrics(r *stat.Registry) *verbMetrics {
 		m.ops[c] = r.Counter(verbNames[c] + ".ops")
 		m.bytes[c] = r.Counter(verbNames[c] + ".bytes")
 		m.lat[c] = r.Histogram(verbNames[c] + ".us")
+		m.err[c] = r.Counter(verbNames[c] + ".err")
 	}
 	return m
 }
 
-// record counts one issued verb on the endpoint (per-node metrics) and
-// on the fabric-wide totals.
+// record counts one successful verb on the endpoint.
 func (e *Endpoint) record(c opClass, n int, start time.Time) {
 	e.verbs.ops[c].Inc()
 	e.verbs.bytes[c].Add(uint64(n))
 	e.verbs.lat[c].Observe(time.Since(start))
-	e.fabric.stats.record(c, n)
 }
 
-// Stats accumulates fabric-wide traffic counters.
-type Stats struct {
-	ops   [numOpClasses]atomic.Uint64
-	bytes [numOpClasses]atomic.Uint64
-}
-
-func (s *Stats) record(c opClass, n int) {
-	s.ops[c].Add(1)
-	s.bytes[c].Add(uint64(n))
-}
-
-func (s *Stats) reset() {
-	for i := range s.ops {
-		s.ops[i].Store(0)
-		s.bytes[i].Store(0)
-	}
-}
-
-func (s *Stats) snapshot() StatsSnapshot {
-	return StatsSnapshot{
-		Reads:      s.ops[opRead].Load(),
-		ReadBytes:  s.bytes[opRead].Load(),
-		Writes:     s.ops[opWrite].Load(),
-		WriteBytes: s.bytes[opWrite].Load(),
-		Atomics:    s.ops[opAtomic].Load(),
-		RPCs:       s.ops[opRPC].Load(),
-		RPCBytes:   s.bytes[opRPC].Load(),
-	}
-}
-
-// StatsSnapshot is a point-in-time copy of fabric traffic counters.
-type StatsSnapshot struct {
-	Reads      uint64 // one-sided READ verbs issued
-	ReadBytes  uint64
-	Writes     uint64 // one-sided WRITE verbs issued
-	WriteBytes uint64
-	Atomics    uint64 // CAS + FETCH_ADD verbs issued
-	RPCs       uint64 // two-sided round trips
-	RPCBytes   uint64
-}
-
-// Sub returns the delta s - prev, counter-wise.
-func (s StatsSnapshot) Sub(prev StatsSnapshot) StatsSnapshot {
-	return StatsSnapshot{
-		Reads:      s.Reads - prev.Reads,
-		ReadBytes:  s.ReadBytes - prev.ReadBytes,
-		Writes:     s.Writes - prev.Writes,
-		WriteBytes: s.WriteBytes - prev.WriteBytes,
-		Atomics:    s.Atomics - prev.Atomics,
-		RPCs:       s.RPCs - prev.RPCs,
-		RPCBytes:   s.RPCBytes - prev.RPCBytes,
-	}
+// fail counts one failed verb on the endpoint and returns err.
+func (e *Endpoint) fail(c opClass, err error) error {
+	e.verbs.err[c].Inc()
+	return err
 }

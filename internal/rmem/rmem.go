@@ -98,13 +98,9 @@ func (c *Config) method(op string) string { return "rmem." + c.Instance + "." + 
 
 // Stats is a snapshot of the pool's occupancy.
 type Stats struct {
-	Slabs         int
-	TotalSlots    int
-	UsedSlots     int
-	FreeSlots     int
-	Referenced    int // used slots with refcount > 0
-	Registers     uint64
-	Hits          uint64 // registers that found the page cached
-	Evictions     uint64
-	Invalidations uint64
+	Slabs      int
+	TotalSlots int
+	UsedSlots  int
+	FreeSlots  int
+	Referenced int // used slots with refcount > 0
 }

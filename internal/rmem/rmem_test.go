@@ -279,9 +279,8 @@ func TestUnregisterMakesPageEvictable(t *testing.T) {
 	if _, err := rw.Register(pid(99)); err != nil {
 		t.Fatalf("register after unregister: %v", err)
 	}
-	s := tp.home.Stats()
-	if s.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", s.Evictions)
+	if n := tp.home.ep.Metrics().Counter("rmem.home.evictions").Load(); n != 1 {
+		t.Fatalf("evictions = %d, want 1", n)
 	}
 }
 
@@ -393,9 +392,9 @@ func TestPLFastPathXAndS(t *testing.T) {
 	if err := ro.PL().UnlockS(pid(1)); err != nil {
 		t.Fatal(err)
 	}
-	st := rw.PL().Stats()
-	if st.FastPath != 1 || st.SlowPath != 0 {
-		t.Fatalf("rw stats = %+v, want 1 fast, 0 slow", st)
+	met := rw.ep.Metrics()
+	if fast, slow := met.Counter("rmem.pl.fast").Load(), met.Counter("rmem.pl.slow").Load(); fast != 1 || slow != 0 {
+		t.Fatalf("rw latches fast=%d slow=%d, want 1 fast, 0 slow", fast, slow)
 	}
 }
 
@@ -425,8 +424,8 @@ func TestPLStickyRevocation(t *testing.T) {
 	if err := rw.PL().UnlockX(pid(1), true); err != nil {
 		t.Fatal(err)
 	}
-	if st := rw.PL().Stats(); st.StickyHit != 1 {
-		t.Fatalf("sticky hits = %d, want 1", st.StickyHit)
+	if n := rw.ep.Metrics().Counter("rmem.pl.sticky").Load(); n != 1 {
+		t.Fatalf("sticky hits = %d, want 1", n)
 	}
 	// RO's S-lock goes slow path: home revokes the sticky X from RW.
 	if err := ro.PL().LockS(pid(1), res.PL); err != nil {
@@ -435,8 +434,8 @@ func TestPLStickyRevocation(t *testing.T) {
 	if rw.PL().HeldCount() != 0 {
 		t.Fatal("sticky latch not revoked")
 	}
-	if st := rw.PL().Stats(); st.Revokes != 1 {
-		t.Fatalf("revokes = %d, want 1", st.Revokes)
+	if n := rw.ep.Metrics().Counter("rmem.pl.revoke").Load(); n != 1 {
+		t.Fatalf("revokes = %d, want 1", n)
 	}
 	if err := ro.PL().UnlockS(pid(1)); err != nil {
 		t.Fatal(err)
@@ -682,10 +681,11 @@ func TestStatsCounters(t *testing.T) {
 	if _, err := rw.Register(pid(1)); err != nil {
 		t.Fatal(err)
 	}
-	s := tp.home.Stats()
-	if s.Registers != 2 || s.Hits != 1 {
-		t.Fatalf("registers=%d hits=%d, want 2,1", s.Registers, s.Hits)
+	met := tp.home.ep.Metrics()
+	if regs, hits := met.Counter("rmem.home.registers").Load(), met.Counter("rmem.home.hits").Load(); regs != 2 || hits != 1 {
+		t.Fatalf("registers=%d hits=%d, want 2,1", regs, hits)
 	}
+	s := tp.home.Stats()
 	if s.TotalSlots != 16 || s.UsedSlots != 1 {
 		t.Fatalf("slots total=%d used=%d", s.TotalSlots, s.UsedSlots)
 	}

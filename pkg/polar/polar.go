@@ -188,7 +188,10 @@ func (db *DB) Failover() error {
 	return db.c.CM.Failover(false)
 }
 
-// Stats summarizes the deployment.
+// Stats summarizes the deployment. MemoryPages and MemoryUsed are the
+// remote memory pool's current size and occupancy, LocalCachePages the
+// RW node's local cache capacity. The counters are cluster-wide and
+// cumulative: every node's events since Open, summed from Metrics.
 type Stats struct {
 	MemoryPages     int
 	MemoryUsed      int
@@ -204,19 +207,20 @@ type Stats struct {
 // recorded (see internal/stat and DESIGN.md "Observability").
 func (db *DB) Metrics() *stat.NodeSet { return db.c.Fabric.Metrics() }
 
-// Stats returns a snapshot of deployment counters.
+// Stats returns a snapshot of the deployment, a view over Metrics and
+// the pool's occupancy.
 func (db *DB) Stats() Stats {
-	var s Stats
+	t := stat.Total(db.Metrics().Snapshot())
+	s := Stats{
+		LocalCachePages: db.c.RW.Engine.Cache().Capacity(),
+		Commits:         t.Counter("engine.txn.commit"),
+		Aborts:          t.Counter("engine.txn.abort"),
+		RemoteReads:     t.Counter("engine.page.remote_read"),
+		StorageReads:    t.Counter("engine.page.storage_read"),
+	}
 	if db.c.Home != nil {
 		hs := db.c.Home.Stats()
-		s.MemoryPages = hs.TotalSlots
-		s.MemoryUsed = hs.UsedSlots
+		s.MemoryPages, s.MemoryUsed = hs.TotalSlots, hs.UsedSlots
 	}
-	es := db.c.RW.Engine.Stats()
-	s.Commits = es.Commits.Load()
-	s.Aborts = es.Aborts.Load()
-	s.RemoteReads = es.RemoteReads.Load()
-	s.StorageReads = es.StorageReads.Load()
-	s.LocalCachePages = db.c.RW.Engine.Cache().Stats().Capacity
 	return s
 }

@@ -73,6 +73,24 @@ func TestFig11Smoke(t *testing.T) {
 	}
 }
 func TestFig12Smoke(t *testing.T) { runFig(t, Fig12, 3) }
-func TestFig13Smoke(t *testing.T) { skipHeavyUnderRace(t); runFig(t, Fig13, 3) }
+func TestFig13Smoke(t *testing.T) {
+	skipHeavyUnderRace(t)
+	r := runFig(t, Fig13, 3)
+	// Shape assertion: the RW's storage reads fall strictly as the remote
+	// pool grows to absorb the working set.
+	var prev uint64
+	for i, s := range r.Series {
+		key := strings.ReplaceAll(strings.TrimSuffix(s.Name, " GBeq"), " ", "") + "/rw0"
+		snap, ok := r.Metrics[key]
+		if !ok {
+			t.Fatalf("no metrics captured for %s", key)
+		}
+		reads := snap.Counters["engine.page.storage_read"]
+		if i > 0 && reads >= prev {
+			t.Errorf("%s: %d storage reads, not below %d at the next smaller pool", key, reads, prev)
+		}
+		prev = reads
+	}
+}
 func TestFig14Smoke(t *testing.T) { skipHeavyUnderRace(t); runFig(t, Fig14, 4) }
 func TestFig15Smoke(t *testing.T) { runFig(t, Fig15, 4) }

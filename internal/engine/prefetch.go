@@ -54,17 +54,16 @@ func (e *Engine) Prefetch(tree *btree.Tree, keys []uint64) *PrefetchHandle {
 			inner.Add(1)
 			go func(keys []uint64) {
 				defer inner.Done()
-				i := 0
-				for i < len(keys) {
-					k := keys[i]
-					last, ok, err := tree.LeafCoverage(k, mode)
+				var last uint64
+				for i, k := range keys {
+					if i > 0 && k <= last {
+						continue // covered by the leaf just fetched
+					}
+					covered, ok, err := tree.LeafCoverage(k, mode)
 					if err != nil || !ok {
-						last = k
+						covered = k
 					}
-					i++
-					for i < len(keys) && keys[i] <= last {
-						i++
-					}
+					last = covered
 				}
 			}(sorted[lo:hi])
 		}

@@ -14,6 +14,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"strings"
 )
 
 // cfgBlock is one straight-line run of nodes. nodes contains simple
@@ -435,6 +436,40 @@ func (g *funcCFG) sccMap() (ids map[*cfgBlock]int, cyclic map[int]bool) {
 		}
 	}
 	return ids, cyclic
+}
+
+// sccBlocks returns the blocks of the strongly connected component id.
+func (g *funcCFG) sccBlocks(ids map[*cfgBlock]int, id int) map[*cfgBlock]bool {
+	scc := map[*cfgBlock]bool{}
+	for _, blk := range g.blocks {
+		if ids[blk] == id {
+			scc[blk] = true
+		}
+	}
+	return scc
+}
+
+// advancesBackoff reports whether a block of the cycle calls a
+// retry.Backoff method: the backoff's window bounds the retry.
+func advancesBackoff(p *Package, scc map[*cfgBlock]bool) bool {
+	for blk := range scc {
+		for _, n := range blk.nodes {
+			found := false
+			inspectSkipFuncLit(n, func(c ast.Node) bool {
+				if call, ok := c.(*ast.CallExpr); ok {
+					if obj := calleeFunc(p, call); obj != nil && obj.Pkg() != nil &&
+						strings.HasSuffix(obj.Pkg().Path(), "internal/retry") && recvTypeName(obj) == "Backoff" {
+						found = true
+					}
+				}
+				return !found
+			})
+			if found {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // reachesAvoiding reports whether target is reachable from start

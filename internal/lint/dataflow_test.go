@@ -118,9 +118,10 @@ func TestPairing(t *testing.T) {
 }
 
 // verbDeadlineSrc is a fake internal/cluster: a bare Call, a
-// data-dependent verb spin, and a spin through a package-local helper are
-// reported; the counted, Backoff-bounded and select-cancellable loops are
-// not, and neither is CallTimeout.
+// data-dependent verb spin, a spin through a package-local helper and a
+// spin whose only fabric path is an interface method are reported; the
+// counted, Backoff-bounded and select-cancellable loops are not, and
+// neither is CallTimeout.
 const verbDeadlineSrc = `package cluster
 
 import (
@@ -175,6 +176,20 @@ func cancellable(ep *rdma.Endpoint, a rdma.Addr, stop chan struct{}) {
 		_, _ = ep.Load64(a)
 	}
 }
+
+type prober interface{ Probe(a rdma.Addr) uint64 }
+
+type remote struct{ ep *rdma.Endpoint }
+
+func (r *remote) Probe(a rdma.Addr) uint64 {
+	v, _ := r.ep.Load64(a)
+	return v
+}
+
+func spinViaInterface(p prober, a rdma.Addr) {
+	for p.Probe(a) != 0 { // line 66: fabric reached through dispatch
+	}
+}
 `
 
 func TestVerbDeadline(t *testing.T) {
@@ -191,7 +206,8 @@ func (b *Backoff) Next() bool { return false }
 	wantFindings(t, runOnly(t, mod, "verbdeadline", "./internal/cluster"),
 		[3]interface{}{"verbdeadline", "internal/cluster/cluster.go", 9},
 		[3]interface{}{"verbdeadline", "internal/cluster/cluster.go", 19},
-		[3]interface{}{"verbdeadline", "internal/cluster/cluster.go", 29})
+		[3]interface{}{"verbdeadline", "internal/cluster/cluster.go", 29},
+		[3]interface{}{"verbdeadline", "internal/cluster/cluster.go", 66})
 }
 
 // regionEscapeSrc is a fake internal/rmem: returning an alias from an
@@ -238,9 +254,10 @@ func TestRegionEscape(t *testing.T) {
 		[3]interface{}{"regionescape", "internal/rmem/rmem.go", 18})
 }
 
-// TestLockHeldTryLockAndMethodValues pins the lockheld gaps closed in
-// this revision: TryLock/TryRLock count as acquisitions, and mutex
-// methods captured into locals keep their transition semantics.
+// TestLockHeldTryLockAndMethodValues pins two same-function held-latch
+// shapes: TryLock/TryRLock count as acquisitions, and mutex methods
+// captured into locals keep their transition semantics — a captured
+// Unlock really releases (methodValueReleased is clean).
 func TestLockHeldTryLockAndMethodValues(t *testing.T) {
 	mod := writeModule(t, map[string]string{
 		"internal/rdma/rdma.go": fakeRdma,
@@ -288,9 +305,9 @@ func (n *tnode) methodValueReleased(a rdma.Addr, buf []byte) error {
 }
 `,
 	})
-	wantFindings(t, runOnly(t, mod, "lockheld", "./internal/engine"),
-		[3]interface{}{"lockheld", "internal/engine/engine.go", 20},
-		[3]interface{}{"lockheld", "internal/engine/engine.go", 34})
+	wantFindings(t, runOnly(t, mod, "lockorder", "./internal/engine"),
+		[3]interface{}{"lockorder", "internal/engine/engine.go", 20},
+		[3]interface{}{"lockorder", "internal/engine/engine.go", 34})
 }
 
 // TestDirectiveAudit pins the allow-audit: a directive naming an unknown

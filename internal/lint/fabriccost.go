@@ -48,9 +48,11 @@ package lint
 // Like every module analysis, propagation under-approximates unknown
 // code: calls that do not resolve to a module body contribute nothing,
 // and goroutines spawned with `go` do not bill the spawner (their cost is
-// not on the caller's latency path). polarvet -fabricreport dumps the
-// full per-function cost table as JSON; -fabricgraph renders the cost-
-// annotated call graph as DOT.
+// not on the caller's latency path). The solved summaries are also the
+// module's one fabric-reachability fact: verbdeadline treats a call as
+// fabric-waiting when a callee's summary is non-empty. polarvet
+// -fabricreport dumps the full per-function cost table as JSON;
+// -fabricgraph renders the cost-annotated call graph as DOT.
 
 import (
 	"fmt"
@@ -75,8 +77,7 @@ func (FabricCost) CheckModule(pkgs []*Package) []Finding {
 	if len(pkgs) == 0 {
 		return nil
 	}
-	a := newFabricAnalysis(pkgs)
-	a.solve()
+	a := fabricAnalysisOf(pkgs[0].Mod)
 	sel := map[*Package]bool{}
 	for _, p := range pkgs {
 		sel[p] = true
@@ -113,6 +114,30 @@ func fcPromote(c fcCost, mult fcCost) fcCost {
 		return fcMany
 	}
 	return c
+}
+
+// fabricVerbs are the latency-bearing *rdma.Endpoint methods.
+var fabricVerbs = map[string]bool{
+	"Read": true, "Write": true, "CAS64": true, "FetchAdd64": true,
+	"Load64": true, "Call": true, "CallTimeout": true,
+}
+
+// isFabricVerb reports whether obj is a latency-bearing method on
+// *rdma.Endpoint.
+func isFabricVerb(obj *types.Func) bool {
+	if obj.Pkg() == nil || !strings.HasSuffix(obj.Pkg().Path(), "internal/rdma") || !fabricVerbs[obj.Name()] {
+		return false
+	}
+	sig, ok := obj.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return false
+	}
+	t := sig.Recv().Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Name() == "Endpoint"
 }
 
 // rpcVerbs are the verbs that occupy the remote CPU; the remaining
@@ -155,8 +180,8 @@ type fcLitEv struct {
 type fcScope struct {
 	p     *Package
 	name  string
-	fn    *types.Func   // nil for literals
-	lit   *ast.FuncLit  // nil for declarations
+	fn    *types.Func  // nil for literals
+	lit   *ast.FuncLit // nil for declarations
 	body  *ast.BlockStmt
 	verbs []fcVerbEv
 	calls []fcCallEv
@@ -195,6 +220,20 @@ type fcAnalysis struct {
 	budgets map[*types.Func]fcBudget
 	// malformed / dangling directive findings, collected during parsing.
 	directiveFindings []Finding
+}
+
+// fabricAnalysisOf returns the module's solved fabric-cost analysis over
+// every package loaded so far. verbdeadline, the fabriccost findings and
+// the report share this one solve; it is redone only when more packages
+// have been loaded since.
+func fabricAnalysisOf(m *Module) *fcAnalysis {
+	pkgs := m.Loaded()
+	if m.fabric == nil || m.fabricPkgs != len(pkgs) {
+		m.fabric = newFabricAnalysis(pkgs)
+		m.fabric.solve()
+		m.fabricPkgs = len(pkgs)
+	}
+	return m.fabric
 }
 
 func newFabricAnalysis(pkgs []*Package) *fcAnalysis {
@@ -282,29 +321,9 @@ func (a *fcAnalysis) scanScope(sc *fcScope) {
 // it advances a retry.Backoff, or every loop forming it is bounded by an
 // integer constant. Range loops iterate data and are never bounded here.
 func fcSCCBounded(p *Package, g *funcCFG, ids map[*cfgBlock]int, id int) bool {
-	scc := map[*cfgBlock]bool{}
-	for _, blk := range g.blocks {
-		if ids[blk] == id {
-			scc[blk] = true
-		}
-	}
-	for blk := range scc {
-		for _, n := range blk.nodes {
-			found := false
-			inspectSkipFuncLit(n, func(c ast.Node) bool {
-				if call, ok := c.(*ast.CallExpr); ok {
-					if obj := calleeFunc(p, call); obj != nil && obj.Pkg() != nil &&
-						strings.HasSuffix(obj.Pkg().Path(), "internal/retry") && recvTypeName(obj) == "Backoff" {
-						found = true
-						return false
-					}
-				}
-				return true
-			})
-			if found {
-				return true
-			}
-		}
+	scc := g.sccBlocks(ids, id)
+	if advancesBackoff(p, scc) {
+		return true
 	}
 	loops, constBounded := 0, 0
 	for stmt, head := range g.loopHeads {
@@ -934,8 +953,7 @@ func BuildFabricReport(mod *Module, patterns []string) (*FabricReport, error) {
 	if len(pkgs) == 0 {
 		return &FabricReport{}, nil
 	}
-	a := newFabricAnalysis(pkgs)
-	a.solve()
+	a := fabricAnalysisOf(mod)
 	r := &FabricReport{}
 	included := map[*types.Func]bool{}
 	for _, sc := range a.scopes {

@@ -33,8 +33,8 @@ type Module struct {
 	pairSummaries map[*types.Func]*pairSummary
 	pairDone      map[string]bool
 	pairAdapted   map[*pairSpec]*pairSpec
-	blockingFns   map[*types.Func]bool
-	blockingDone  map[string]bool
+	fabric        *fcAnalysis // solved over fabricPkgs loaded packages
+	fabricPkgs    int
 }
 
 // Package is one loaded, type-checked package (test files excluded).
@@ -80,8 +80,6 @@ func LoadModule(root string) (*Module, error) {
 		pairSummaries: map[*types.Func]*pairSummary{},
 		pairDone:      map[string]bool{},
 		pairAdapted:   map[*pairSpec]*pairSpec{},
-		blockingFns:   map[*types.Func]bool{},
-		blockingDone:  map[string]bool{},
 	}, nil
 }
 

@@ -16,10 +16,12 @@ package lint
 //     with the held mode — a pure reader cycle cannot deadlock) is a
 //     potential deadlock, which `go test -race` cannot see.
 //
-//  2. Fabric verbs reached while a node-local mutex class is held
-//     through *any* call path — the interprocedural generalization of
-//     lockheld, which only sees verbs issued in the same function body
-//     as the Lock call. Holding the PL class across fabric verbs is
+//  2. Fabric verbs reached while a node-local mutex class is held —
+//     issued in the same body as the Lock call, or through *any* call
+//     path on either side (a callee that takes the latch, a callee that
+//     issues the verb). Locks taken through captured method values
+//     (`unlock := mu.Unlock; ...; unlock()`) and function-local mutexes
+//     count like any other. Holding the PL class across fabric verbs is
 //     exempt: the global page latch is *designed* to be taken and held
 //     across RDMA (CAS fast path, home-node negotiation, sticky
 //     retention), and serializing it behind fabric latency is the
@@ -41,6 +43,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -141,9 +144,10 @@ func isMutexType(t types.Type) (rw bool, ok bool) {
 // discoverLockClasses enumerates every mutex lock class of the module:
 // named-struct mutex fields ("engine.Engine.activeMu"), package-level
 // mutex variables ("stat.defaultMu"), and — when any PL-bearing package
-// is loaded — the global page-latch class "PL". Local mutex variables are
-// deliberately unclassified: they cannot participate in a cross-function
-// ordering. Exempt packages (rdma, lint) contribute no classes.
+// is loaded — the global page-latch class "PL". Function-local mutex
+// variables get a class on first use (see classOfExpr) and stay out of
+// the universe: they cannot participate in a cross-function ordering.
+// Exempt packages (rdma, lint) contribute no classes.
 func discoverLockClasses(idx *moduleIndex) *loClasses {
 	c := &loClasses{of: map[types.Object]string{}, embedded: map[*types.Named]string{}}
 	seen := map[string]bool{}
@@ -265,15 +269,13 @@ func plSigOf(obj *types.Func) (plSig, bool) {
 	return plSig{}, false
 }
 
-// ---- per-function state and events ----
-
-// heldInfo is one held class at one program point. direct marks classes
-// locked by a sync mutex call in this very function body — those verbs
-// are lockheld's findings, and lockorder stays quiet to avoid doubles.
-type heldInfo struct {
-	mode   lockMode
-	direct bool
+// lockMethods are the sync mutex transitions the analysis models.
+var lockMethods = map[string]bool{
+	"Lock": true, "RLock": true, "TryLock": true, "TryRLock": true,
+	"Unlock": true, "RUnlock": true,
 }
+
+// ---- per-function state and events ----
 
 // loState is the dataflow fact at a program point. pend holds the
 // error-guarded acquisitions: the repo idiom releases everything before
@@ -281,33 +283,20 @@ type heldInfo struct {
 // so classes a fallible acquisition would hold enter held only along the
 // err == nil edge (see refineEdge) and evaporate on the error edge.
 type loState struct {
-	held map[string]heldInfo
+	held map[string]lockMode
 	rel  map[string]bool                      // net releases (released while not held)
 	def  map[string]bool                      // deferred releases (run at exit)
 	pend map[types.Object]map[string]lockMode // err var -> classes held iff it is nil
 }
 
 func newLoState() *loState {
-	return &loState{held: map[string]heldInfo{}, rel: map[string]bool{}, def: map[string]bool{}}
+	return &loState{held: map[string]lockMode{}, rel: map[string]bool{}, def: map[string]bool{}}
 }
 
 func (s *loState) clone() *loState {
-	n := newLoState()
-	for k, v := range s.held {
-		n.held[k] = v
-	}
-	for k := range s.rel {
-		n.rel[k] = true
-	}
-	for k := range s.def {
-		n.def[k] = true
-	}
+	n := &loState{held: maps.Clone(s.held), rel: maps.Clone(s.rel), def: maps.Clone(s.def)}
 	for obj, classes := range s.pend {
-		m := make(map[string]lockMode, len(classes))
-		for c, mode := range classes {
-			m[c] = mode
-		}
-		n.setPend(obj, m)
+		n.setPend(obj, classes)
 	}
 	return n
 }
@@ -336,13 +325,8 @@ func (s *loState) setPend(obj types.Object, classes map[string]lockMode) {
 func (s *loState) joinInto(o *loState) bool {
 	changed := false
 	for k, ov := range o.held {
-		sv, ok := s.held[k]
-		nv := heldInfo{mode: sv.mode, direct: sv.direct || ov.direct}
-		if !ok || ov.mode > nv.mode {
-			nv.mode = ov.mode
-		}
-		if !ok || nv != sv {
-			s.held[k] = nv
+		if sv, ok := s.held[k]; !ok || ov > sv {
+			s.held[k] = ov
 			changed = true
 		}
 	}
@@ -369,14 +353,6 @@ func (s *loState) joinInto(o *loState) bool {
 	return changed
 }
 
-func copyHeld(h map[string]heldInfo) map[string]heldInfo {
-	out := make(map[string]heldInfo, len(h))
-	for k, v := range h {
-		out[k] = v
-	}
-	return out
-}
-
 // loAcqEv is one direct acquisition (sync mutex or PL op) with the
 // classes held just before it.
 type loAcqEv struct {
@@ -384,13 +360,13 @@ type loAcqEv struct {
 	class string
 	mode  lockMode
 	try   bool
-	held  map[string]heldInfo
+	held  map[string]lockMode
 }
 
 // loCallEv is one resolved module call with the classes held across it.
 type loCallEv struct {
 	pos     token.Pos
-	held    map[string]heldInfo
+	held    map[string]lockMode
 	targets []*types.Func
 }
 
@@ -398,7 +374,7 @@ type loCallEv struct {
 type loVerbEv struct {
 	pos  token.Pos
 	name string
-	held map[string]heldInfo
+	held map[string]lockMode
 }
 
 // loSummary is the per-function-scope result: the net effect callers
@@ -440,7 +416,7 @@ type loAnalysis struct {
 	summaries map[*types.Func]*loSummary
 	literals  []*loSummary // function-literal scopes (events only)
 	cfgs      map[*ast.BlockStmt]*funcCFG
-	bindings  map[*ast.BlockStmt]map[types.Object]*types.Func
+	bindings  map[*ast.BlockStmt]map[types.Object]boundMethod
 
 	// phase-2 transitive facts
 	mayAcquire map[*types.Func]map[string]*loAcqWitness
@@ -470,7 +446,7 @@ func newLockOrderAnalysis(pkgs []*Package) *loAnalysis {
 		fset:       pkgs[0].Fset,
 		summaries:  map[*types.Func]*loSummary{},
 		cfgs:       map[*ast.BlockStmt]*funcCFG{},
-		bindings:   map[*ast.BlockStmt]map[types.Object]*types.Func{},
+		bindings:   map[*ast.BlockStmt]map[types.Object]boundMethod{},
 		mayAcquire: map[*types.Func]map[string]*loAcqWitness{},
 		verbVia:    map[*types.Func]*loVerbWitness{},
 	}
@@ -485,7 +461,7 @@ func (a *loAnalysis) cfg(body *ast.BlockStmt) *funcCFG {
 	return g
 }
 
-func (a *loAnalysis) binds(p *Package, body *ast.BlockStmt) map[types.Object]*types.Func {
+func (a *loAnalysis) binds(p *Package, body *ast.BlockStmt) map[types.Object]boundMethod {
 	b, ok := a.bindings[body]
 	if !ok {
 		b = methodBindings(p, body)
@@ -655,9 +631,9 @@ func (a *loAnalysis) analyzeBody(p *Package, name string, body *ast.BlockStmt, r
 		}
 	}
 	if exitSt := in[g.exit]; exitSt != nil {
-		for class, info := range exitSt.held {
+		for class, mode := range exitSt.held {
 			if !exitSt.def[class] {
-				sum.leavesHeld[class] = info.mode
+				sum.leavesHeld[class] = mode
 			}
 		}
 		for class := range exitSt.rel {
@@ -674,7 +650,7 @@ func (a *loAnalysis) analyzeBody(p *Package, name string, body *ast.BlockStmt, r
 
 // transferBlock applies every node of b to st in order; when sum is
 // non-nil, events are recorded into it.
-func (a *loAnalysis) transferBlock(p *Package, sum *loSummary, st *loState, b *cfgBlock, bindings map[types.Object]*types.Func) {
+func (a *loAnalysis) transferBlock(p *Package, sum *loSummary, st *loState, b *cfgBlock, bindings map[types.Object]boundMethod) {
 	deferCalls := map[*ast.CallExpr]bool{}
 	goCalls := map[*ast.CallExpr]bool{}
 	callErr := map[*ast.CallExpr]types.Object{}
@@ -769,7 +745,7 @@ func (a *loAnalysis) refineEdge(p *Package, st *loState, e cfgEdge) *loState {
 		delete(ns.pend, obj)
 		if errIsNil {
 			for c, m := range classes {
-				a.enterHeld(ns, c, m, false)
+				a.enterHeld(ns, c, m)
 			}
 		}
 		return ns
@@ -783,7 +759,7 @@ func isNilIdent(e ast.Expr) bool {
 }
 
 // classOfExpr maps the receiver expression of a sync mutex method call to
-// its lock class ("" when unclassified, e.g. a local mutex variable).
+// its lock class ("" when unclassified, e.g. a mutex reached by index).
 func (a *loAnalysis) classOfExpr(p *Package, e ast.Expr) string {
 	switch e := e.(type) {
 	case *ast.Ident:
@@ -792,6 +768,10 @@ func (a *loAnalysis) classOfExpr(p *Package, e ast.Expr) string {
 			return ""
 		}
 		if c, ok := a.classes.of[obj]; ok {
+			return c
+		}
+		if c := localMutexClass(p, obj); c != "" {
+			a.classes.of[obj] = c
 			return c
 		}
 		return a.classes.embeddedClass(obj.Type())
@@ -812,25 +792,60 @@ func (a *loAnalysis) classOfExpr(p *Package, e ast.Expr) string {
 	return ""
 }
 
+// localMutexClass names a function-local sync mutex variable after its
+// enclosing declaration ("bench.fig09Variant.stateMu"), so the class is
+// scoped to that function and shared by the literals inside it.
+func localMutexClass(p *Package, obj types.Object) string {
+	v, ok := obj.(*types.Var)
+	if !ok || v.IsField() || v.Parent() == nil || v.Parent() == p.Pkg.Scope() {
+		return ""
+	}
+	if _, ok := isMutexType(v.Type()); !ok {
+		return ""
+	}
+	for _, file := range p.Files {
+		for _, decl := range file.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Pos() <= v.Pos() && v.Pos() < fd.End() {
+				if fn, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
+					return qualifiedFuncName(fn) + "." + v.Name()
+				}
+			}
+		}
+	}
+	return ""
+}
+
 // applyCall classifies one call: sync mutex transition, fabric verb,
 // page-latch op, or resolved module call. errObj, when non-nil, is the
 // error variable assigned from this call — fallible acquisitions are
 // held only once it proves nil.
-func (a *loAnalysis) applyCall(p *Package, sum *loSummary, st *loState, call *ast.CallExpr, deferred bool, errObj types.Object, bindings map[types.Object]*types.Func) {
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if obj, ok := p.Info.Uses[sel.Sel].(*types.Func); ok && obj.Pkg() != nil {
-			if obj.Pkg().Path() == "sync" && lockMethods[obj.Name()] {
-				if class := a.classOfExpr(p, sel.X); class != "" {
-					a.mutexTransition(sum, st, class, obj.Name(), call.Pos(), deferred)
-				}
-				return
+func (a *loAnalysis) applyCall(p *Package, sum *loSummary, st *loState, call *ast.CallExpr, deferred bool, errObj types.Object, bindings map[types.Object]boundMethod) {
+	var method *types.Func
+	var recv ast.Expr
+	switch fun := call.Fun.(type) {
+	case *ast.SelectorExpr:
+		method, _ = p.Info.Uses[fun.Sel].(*types.Func)
+		recv = fun.X
+	case *ast.Ident:
+		// A mutex method value captured into a local (`unlock :=
+		// mu.Unlock; ...; unlock()`) is the same transition.
+		if v := identObj(p, fun); v != nil {
+			b := bindings[v]
+			method, recv = b.fn, b.recv
+		}
+	}
+	if method != nil && method.Pkg() != nil {
+		if method.Pkg().Path() == "sync" && lockMethods[method.Name()] {
+			if class := a.classOfExpr(p, recv); class != "" {
+				a.mutexTransition(sum, st, class, method.Name(), call.Pos(), deferred)
 			}
-			if isFabricVerb(obj) {
-				if sum != nil {
-					sum.verbs = append(sum.verbs, loVerbEv{pos: call.Pos(), name: obj.Name(), held: copyHeld(st.held)})
-				}
-				return
+			return
+		}
+		if isFabricVerb(method) {
+			if sum != nil {
+				sum.verbs = append(sum.verbs, loVerbEv{pos: call.Pos(), name: method.Name(), held: maps.Clone(st.held)})
 			}
+			return
 		}
 	}
 	if lit, ok := call.Fun.(*ast.FuncLit); ok {
@@ -852,12 +867,12 @@ func (a *loAnalysis) applyCall(p *Package, sum *loSummary, st *loState, call *as
 				if sum != nil {
 					// The ordering edge exists even when the attempt can
 					// fail: a failed acquisition still blocked on it.
-					sum.acqs = append(sum.acqs, loAcqEv{pos: call.Pos(), class: plClass, mode: mode, held: copyHeld(st.held)})
+					sum.acqs = append(sum.acqs, loAcqEv{pos: call.Pos(), class: plClass, mode: mode, held: maps.Clone(st.held)})
 				}
 				if errObj != nil {
 					st.setPend(errObj, map[string]lockMode{plClass: mode})
 				} else {
-					a.enterHeld(st, plClass, mode, false)
+					a.enterHeld(st, plClass, mode)
 				}
 				return
 			case plReleases[sig]:
@@ -922,19 +937,19 @@ func (a *loAnalysis) applyEffect(sum *loSummary, st *loState, releases map[strin
 	}
 	sort.Strings(classes)
 	for _, c := range classes {
-		a.enterHeld(st, c, leavesHeld[c], false)
+		a.enterHeld(st, c, leavesHeld[c])
 	}
 }
 
 // recordCallEvent resolves a call against the module graph and, when
 // recording, snapshots the held set for the reporting phase.
-func (a *loAnalysis) recordCallEvent(p *Package, sum *loSummary, st *loState, call *ast.CallExpr, bindings map[types.Object]*types.Func) []*types.Func {
+func (a *loAnalysis) recordCallEvent(p *Package, sum *loSummary, st *loState, call *ast.CallExpr, bindings map[types.Object]boundMethod) []*types.Func {
 	targets := a.idx.resolveCall(p, call, bindings)
 	if len(targets) == 0 {
 		return nil
 	}
 	if sum != nil {
-		sum.calls = append(sum.calls, loCallEv{pos: call.Pos(), held: copyHeld(st.held), targets: targets})
+		sum.calls = append(sum.calls, loCallEv{pos: call.Pos(), held: maps.Clone(st.held), targets: targets})
 	}
 	return targets
 }
@@ -959,29 +974,22 @@ func (a *loAnalysis) mutexTransition(sum *loSummary, st *loState, class, method 
 // class enters the set) and marks the class held.
 func (a *loAnalysis) acquire(sum *loSummary, st *loState, class string, mode lockMode, pos token.Pos) {
 	if sum != nil {
-		sum.acqs = append(sum.acqs, loAcqEv{pos: pos, class: class, mode: mode, held: copyHeld(st.held)})
+		sum.acqs = append(sum.acqs, loAcqEv{pos: pos, class: class, mode: mode, held: maps.Clone(st.held)})
 	}
-	a.enterHeld(st, class, mode, true)
+	a.enterHeld(st, class, mode)
 }
 
 // enterHeld adds a class to the held set; W dominates an existing R.
-// direct marks classes locked by a sync call in this very body — verbs
-// under those are lockheld's findings, not lockorder's.
-func (a *loAnalysis) enterHeld(st *loState, class string, mode lockMode, direct bool) {
-	info := st.held[class]
-	if mode > info.mode {
-		info.mode = mode
+func (a *loAnalysis) enterHeld(st *loState, class string, mode lockMode) {
+	if mode > st.held[class] {
+		st.held[class] = mode
 	}
-	if direct {
-		info.direct = true
-	}
-	st.held[class] = info
 }
 
 // tryAcquire enters the held set (the branch refinement clears it on the
 // failure edge) but witnesses no ordering edge: a try never blocks.
 func (a *loAnalysis) tryAcquire(sum *loSummary, st *loState, class string, mode lockMode, pos token.Pos) {
-	a.enterHeld(st, class, mode, true)
+	a.enterHeld(st, class, mode)
 }
 
 // release clears a held class; a deferred release runs at exit instead,
@@ -1079,10 +1087,10 @@ func (a *loAnalysis) collectEdges() []*loEdge {
 	for _, sum := range a.allSummaries() {
 		for i := range sum.acqs {
 			ev := &sum.acqs[i]
-			for from, info := range ev.held {
+			for from, fromMode := range ev.held {
 				add(&loEdge{
 					from: from, to: ev.class,
-					fromMode: info.mode, toMode: ev.mode,
+					fromMode: fromMode, toMode: ev.mode,
 					pos: a.fset.Position(ev.pos),
 				})
 			}
@@ -1094,10 +1102,10 @@ func (a *loAnalysis) collectEdges() []*loEdge {
 			}
 			for _, t := range ev.targets {
 				for class, w := range a.mayAcquire[t] {
-					for from, info := range ev.held {
+					for from, fromMode := range ev.held {
 						add(&loEdge{
 							from: from, to: class,
-							fromMode: info.mode, toMode: w.mode,
+							fromMode: fromMode, toMode: w.mode,
 							pos:  a.fset.Position(ev.pos),
 							path: a.acquirePath(t, class),
 						})
@@ -1247,21 +1255,16 @@ func findConflictCycle(adj map[string][]*loEdge, e *loEdge) []*loEdge {
 }
 
 // verbFindings reports fabric verbs reached while a fabric-intolerant
-// mutex class is held, through call paths (and directly, when the held
-// class itself came from a callee — the one shape lockheld cannot see).
+// mutex class is held: issued directly, or through a call path.
 func (a *loAnalysis) verbFindings(sel map[*Package]bool) []Finding {
 	var out []Finding
 	seen := map[token.Position]bool{}
-	emit := func(pos token.Pos, held map[string]heldInfo, onlyIndirect bool, path string) {
+	emit := func(pos token.Pos, held map[string]lockMode, path string) {
 		var classes []string
-		for c, info := range held {
-			if _, ok := fabricTolerant[c]; ok {
-				continue // designed to span the fabric; see the table
+		for c := range held {
+			if _, ok := fabricTolerant[c]; !ok {
+				classes = append(classes, c) // tolerant classes span the fabric by design
 			}
-			if onlyIndirect && info.direct {
-				continue // lockheld already reports this shape
-			}
-			classes = append(classes, c)
 		}
 		if len(classes) == 0 {
 			return
@@ -1282,7 +1285,7 @@ func (a *loAnalysis) verbFindings(sel map[*Package]bool) []Finding {
 	for _, sum := range a.allSummaries() {
 		for i := range sum.verbs {
 			ev := &sum.verbs[i]
-			emit(ev.pos, ev.held, true, "verb issued here under a latch acquired by a callee")
+			emit(ev.pos, ev.held, ev.name+" issued here")
 		}
 		for i := range sum.calls {
 			ev := &sum.calls[i]
@@ -1291,7 +1294,7 @@ func (a *loAnalysis) verbFindings(sel map[*Package]bool) []Finding {
 			}
 			for _, t := range ev.targets {
 				if a.verbVia[t] != nil {
-					emit(ev.pos, ev.held, false, a.verbPath(t))
+					emit(ev.pos, ev.held, a.verbPath(t))
 					break
 				}
 			}

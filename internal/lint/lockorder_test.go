@@ -260,10 +260,10 @@ func Rev(a *A, c *C) {
 	}
 }
 
-// TestLockOrderVerbUnderCalleeLatch covers the two held-over-fabric
-// shapes lockheld's single-function walk cannot see: a verb issued while
-// a latch was taken by a cross-package callee, and a call whose callee
-// transitively issues the verb while the caller holds the latch.
+// TestLockOrderVerbUnderCalleeLatch covers the two cross-function
+// held-over-fabric shapes: a verb issued while a latch was taken by a
+// cross-package callee, and a call whose callee transitively issues the
+// verb while the caller holds the latch.
 func TestLockOrderVerbUnderCalleeLatch(t *testing.T) {
 	mod := writeModule(t, map[string]string{
 		"internal/rdma/rdma.go": fakeRdma,
@@ -314,6 +314,46 @@ func Indirect(ep *rdma.Endpoint, s *store.S) error {
 	}
 	if !strings.Contains(got[1].Message, "Load64") {
 		t.Errorf("callee-verb finding %q should trace to Load64", got[1].Message)
+	}
+}
+
+// TestLockOrderDirectHolds pins the same-function held-latch policy: a
+// function-local mutex held across a verb is reported, and a directly
+// locked fabric-tolerant class is not.
+func TestLockOrderDirectHolds(t *testing.T) {
+	mod := writeModule(t, map[string]string{
+		"internal/rdma/rdma.go": fakeRdma,
+		"internal/cluster/cluster.go": `package cluster
+
+import (
+	"sync"
+
+	"polardb/internal/rdma"
+)
+
+type Session struct {
+	mu sync.Mutex
+	ep *rdma.Endpoint
+}
+
+func (s *Session) statement(a rdma.Addr, buf []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ep.Read(a, buf) // tolerant: per-session serialization
+}
+
+func localLatch(ep *rdma.Endpoint, a rdma.Addr, buf []byte) error {
+	var mu sync.Mutex
+	mu.Lock()
+	defer mu.Unlock()
+	return ep.Read(a, buf) // line 24: local mutex held
+}
+`,
+	})
+	got := runOnly(t, mod, "lockorder", "./...")
+	wantFindings(t, got, [3]interface{}{"lockorder", "internal/cluster/cluster.go", 24})
+	if !strings.Contains(got[0].Message, "cluster.localLatch.mu") {
+		t.Errorf("local-mutex finding %q should name cluster.localLatch.mu", got[0].Message)
 	}
 }
 
@@ -413,11 +453,16 @@ func TestPolarvetTimeBudget(t *testing.T) {
 	if _, err := Run(mod, []string{"./..."}, Analyzers()); err != nil {
 		t.Fatal(err)
 	}
+	solved := mod.fabric
 	if _, err := BuildLockGraph(mod, []string{"./..."}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := BuildFabricReport(mod, []string{"./..."}); err != nil {
 		t.Fatal(err)
+	}
+	// verbdeadline, fabriccost and the report share one fixpoint solve.
+	if solved == nil || mod.fabric != solved {
+		t.Error("BuildFabricReport re-solved the fabric fixpoint the run already solved")
 	}
 	if d := time.Since(start); d > budget {
 		t.Fatalf("full-module polarvet run took %v, budget %v", d, budget)

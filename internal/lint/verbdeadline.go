@@ -15,11 +15,10 @@ import (
 //     use CallTimeout (the fabric abandons the handler at the
 //     deadline) — every bare Call is reported.
 //
-//  2. A fabric-waiting call (an Endpoint verb, a remote-tier client
-//     method — rmem.Pool / rmem.PLManager / polarfs.Client /
-//     txn.Client — or any module function that transitively issues
-//     one, in this package or another) sitting on a CFG cycle is an
-//     unbounded retry unless
+//  2. A fabric-waiting call (an Endpoint verb, or a call that may
+//     dispatch — directly, through a method value or through an
+//     interface — to a module function whose fabriccost summary is
+//     non-empty) sitting on a CFG cycle is an unbounded retry unless
 //     the cycle itself is bounded: it advances a retry.Backoff (whose
 //     window expires), it can be cancelled through a select clause
 //     that leaves the loop (daemon shutdown channels), or every loop
@@ -41,14 +40,6 @@ func (VerbDeadline) Name() string { return "verbdeadline" }
 // node failure (§5: an RO promotion cannot wait on the dead RW).
 var verbDeadlinePkgs = []string{"internal/engine", "internal/cluster"}
 
-// fabricClients are remote-tier client types whose methods wait on the
-// fabric (possibly several verbs deep).
-var fabricClients = map[string]map[string]bool{
-	"internal/rmem":    {"Pool": true, "PLManager": true},
-	"internal/polarfs": {"Client": true},
-	"internal/txn":     {"Client": true},
-}
-
 // Check implements Analyzer.
 func (VerbDeadline) Check(p *Package) []Finding {
 	watched := false
@@ -61,27 +52,21 @@ func (VerbDeadline) Check(p *Package) []Finding {
 		return nil
 	}
 
-	ensureBlockingFns(p)
-	isBlocking := func(call *ast.CallExpr) bool {
-		obj := calleeFunc(p, call)
-		if obj == nil {
-			return false
-		}
-		if isFabricVerb(obj) {
-			return true
-		}
-		if obj.Pkg() != nil {
-			for pkg, recvs := range fabricClients {
-				if strings.HasSuffix(obj.Pkg().Path(), pkg) && recvs[recvTypeName(obj)] {
+	fc := fabricAnalysisOf(p.Mod)
+	var out []Finding
+	for _, sc := range funcScopes(p) {
+		bindings := methodBindings(p, sc.body)
+		isBlocking := func(call *ast.CallExpr) bool {
+			if obj := calleeFunc(p, call); obj != nil && isFabricVerb(obj) {
+				return true
+			}
+			for _, t := range fc.idx.resolveCall(p, call, bindings) {
+				if len(fc.fnCost[t]) > 0 {
 					return true
 				}
 			}
+			return false
 		}
-		return p.Mod.blockingFns[obj]
-	}
-
-	var out []Finding
-	for _, sc := range funcScopes(p) {
 		g := buildCFG(sc.body)
 		ids, cyclic := g.sccMap()
 		boundedCache := map[int]bool{}
@@ -133,110 +118,12 @@ func (VerbDeadline) Check(p *Package) []Finding {
 	return out
 }
 
-// ensureBlockingFns computes, once per package, which of p's functions
-// (and, recursively, its module dependencies') transitively issue a
-// fabric verb or remote-tier client call on some path, into the
-// module-wide map — so a cluster loop retrying an exported engine
-// helper is recognized as fabric-waiting. rdma is skipped: its methods
-// are the verbs themselves, matched by isFabricVerb.
-func ensureBlockingFns(p *Package) {
-	m := p.Mod
-	if m.blockingDone[p.Path] {
-		return
-	}
-	m.blockingDone[p.Path] = true
-	for _, imp := range p.Pkg.Imports() {
-		path := imp.Path()
-		if path != m.Path && !strings.HasPrefix(path, m.Path+"/") {
-			continue
-		}
-		if dp, err := m.Load(path); err == nil {
-			ensureBlockingFns(dp)
-		}
-	}
-	if strings.HasSuffix(p.Path, "internal/rdma") {
-		return
-	}
-	decls := map[*types.Func]*ast.FuncDecl{}
-	for _, file := range p.Files {
-		for _, decl := range file.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				if obj, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
-					decls[obj] = fd
-				}
-			}
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for fobj, fd := range decls {
-			if m.blockingFns[fobj] {
-				continue
-			}
-			hit := false
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if hit {
-					return false
-				}
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				obj := calleeFunc(p, call)
-				if obj == nil {
-					return true
-				}
-				if isFabricVerb(obj) || m.blockingFns[obj] {
-					hit = true
-					return false
-				}
-				if obj.Pkg() != nil {
-					for pkg, recvs := range fabricClients {
-						if strings.HasSuffix(obj.Pkg().Path(), pkg) && recvs[recvTypeName(obj)] {
-							hit = true
-							return false
-						}
-					}
-				}
-				return true
-			})
-			if hit {
-				m.blockingFns[fobj] = true
-				changed = true
-			}
-		}
-	}
-}
-
 // sccBounded decides whether the cycle with the given id terminates or
 // is cancellable.
 func sccBounded(p *Package, g *funcCFG, ids map[*cfgBlock]int, id int) bool {
-	scc := map[*cfgBlock]bool{}
-	for _, blk := range g.blocks {
-		if ids[blk] == id {
-			scc[blk] = true
-		}
-	}
-
-	// A retry.Backoff advanced on the cycle bounds it by its window.
-	for blk := range scc {
-		for _, n := range blk.nodes {
-			found := false
-			inspectSkipFuncLit(n, func(c ast.Node) bool {
-				if call, ok := c.(*ast.CallExpr); ok {
-					if obj := calleeFunc(p, call); obj != nil {
-						if obj.Pkg() != nil && strings.HasSuffix(obj.Pkg().Path(), "internal/retry") && recvTypeName(obj) == "Backoff" {
-							found = true
-							return false
-						}
-					}
-				}
-				return true
-			})
-			if found {
-				return true
-			}
-		}
+	scc := g.sccBlocks(ids, id)
+	if advancesBackoff(p, scc) {
+		return true
 	}
 
 	// A select on the cycle with a clause that escapes it (shutdown

@@ -40,10 +40,10 @@ type Pool struct {
 // poolMetrics are the librmem client-side counters, one per §3.1 API
 // call plus the two home-initiated callbacks.
 type poolMetrics struct {
-	register   *stat.Counter // page_register round trips
-	unregister *stat.Counter // page_unregister round trips
-	pageRead   *stat.Counter // one-sided page_read verbs
-	pageWrite  *stat.Counter // one-sided page_write verbs
+	register     *stat.Counter // page_register round trips
+	unregister   *stat.Counter // page_unregister round trips
+	pageRead     *stat.Counter // one-sided page_read verbs
+	pageWrite    *stat.Counter // one-sided page_write verbs
 	pibCheck     *stat.Counter // one-sided PIB staleness probes
 	invSent      *stat.Counter // page_invalidate round trips issued (RW); one per batch
 	invSentPages *stat.Counter // pages carried by those batches
@@ -199,6 +199,7 @@ func (p *Pool) WritePage(data rdma.Addr, buf []byte, pib rdma.Addr) error {
 
 // PIBStale reads the page's home PIB word with a one-sided read: true
 // means the remote copy is outdated (the RW holds a newer local version).
+//
 //polarvet:fabric O(1) exactly one one-sided load of the PIB word
 func (p *Pool) PIBStale(pib rdma.Addr) (bool, error) {
 	p.met.pibCheck.Inc()
@@ -220,6 +221,7 @@ func (p *Pool) Invalidate(page types.PageID) error {
 // in one round trip: the home sets each page's PIB bit and notifies each
 // holder once with its whole affected-page list, so the per-commit
 // coherence cost is O(distinct holders), not O(pages × holders).
+//
 //polarvet:fabric O(1) one batched page_invalidate round trip per call
 func (p *Pool) InvalidateBatch(pages []types.PageID) error {
 	if len(pages) == 0 {
